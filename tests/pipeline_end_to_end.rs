@@ -145,3 +145,36 @@ fn mapping_is_idempotent() {
         assert!(twice.conforms);
     }
 }
+
+/// FNV-1a digest of every mapping result on a fixed 200-document corpus:
+/// the `map_document` edit distance and the planner's `render_json` body
+/// (cost, mapped XML and canonical edit script) per document. Any change
+/// to a distance, an edit script or a `/map` body moves the digest.
+const MAPPING_DIGEST: u64 = 370_797_413_404_584_594;
+
+#[test]
+fn mapping_results_match_pinned_digest() {
+    let corpus = CorpusGenerator::new(1).generate(200);
+    let htmls: Vec<String> = corpus.iter().map(|d| d.html.clone()).collect();
+    let pipeline = paper_pipeline();
+    let docs = pipeline.convert_corpus(&htmls);
+    let discovery = pipeline.discover_schema(&docs).unwrap();
+    let planner = webre_map::MapPlanner::default();
+    let mut bytes = Vec::new();
+    let mut exact = 0usize;
+    for doc in &docs {
+        let outcome = pipeline.map_document(doc, &discovery);
+        bytes.extend_from_slice(outcome.edit_distance.to_string().as_bytes());
+        bytes.push(b'\n');
+        let planned = pipeline.plan_document(doc, &discovery, &planner);
+        exact += usize::from(planned.tier == webre_map::MapTier::Exact);
+        bytes.extend_from_slice(webre_map::render_json(&planned, planner.budget).as_bytes());
+        bytes.push(b'\n');
+    }
+    assert!(exact > 0, "no document reached the exact tier");
+    assert_eq!(
+        webre_substrate::wal::checksum(&bytes),
+        MAPPING_DIGEST,
+        "mapping output drifted ({exact} exact-tier documents)"
+    );
+}
