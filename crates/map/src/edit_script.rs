@@ -2,16 +2,17 @@
 //!
 //! Beyond the scalar distance, the Document Mapping Component wants to
 //! *explain* a mapping: which nodes were relabeled, deleted, inserted and
-//! which matched. This module recomputes the forest-distance tables for
-//! the relevant keyroot pairs and backtracks through them, producing an
-//! optimal [`EditOp`] sequence whose total cost equals
+//! which matched. This module runs the [`crate::zhang_shasha`] kernel,
+//! then recomputes the forest table of each sub-problem on the optimal
+//! path into the kernel's shared buffer and backtracks through it,
+//! producing an optimal [`EditOp`] sequence whose total cost equals
 //! [`crate::zhang_shasha::edit_distance`].
 //!
 //! Node references are post-order indices into the respective tree (the
 //! same numbering [`post_order_labels`] yields), which keeps the script
 //! self-contained and cheap to store.
 
-use crate::zhang_shasha::EditCosts;
+use crate::zhang_shasha::{EditCosts, FlatTree, Interner, Kernel};
 use webre_tree::Tree;
 
 /// One operation of an edit script.
@@ -35,77 +36,38 @@ pub fn post_order_labels(tree: &Tree<String>) -> Vec<String> {
         .collect()
 }
 
-struct Flat {
-    labels: Vec<String>,
-    lml: Vec<usize>,
-    keyroots: Vec<usize>,
-}
-
-fn flatten(tree: &Tree<String>) -> Flat {
-    let ids: Vec<_> = tree.post_order(tree.root()).collect();
-    let mut index = std::collections::HashMap::new();
-    for (i, id) in ids.iter().enumerate() {
-        index.insert(*id, i);
-    }
-    let mut labels = Vec::with_capacity(ids.len());
-    let mut lml = Vec::with_capacity(ids.len());
-    for id in &ids {
-        labels.push(tree.value(*id).clone());
-        let mut leaf = *id;
-        while let Some(first) = tree.first_child(leaf) {
-            leaf = first;
-        }
-        lml.push(index[&leaf]);
-    }
-    let n = labels.len();
-    let keyroots = (0..n)
-        .filter(|&i| !(i + 1..n).any(|j| lml[j] == lml[i]))
-        .collect();
-    Flat {
-        labels,
-        lml,
-        keyroots,
-    }
-}
-
 /// Computes an optimal edit script together with its total cost.
 pub fn edit_script(a: &Tree<String>, b: &Tree<String>, costs: &EditCosts) -> (u32, Vec<EditOp>) {
-    let t1 = flatten(a);
-    let t2 = flatten(b);
-    let n = t1.labels.len();
-    let m = t2.labels.len();
-    let mut treedist = vec![vec![0u32; m]; n];
-    // Mapping pairs discovered per tree pair; recomputed with backtracking.
-    for &i in &t1.keyroots {
-        for &j in &t2.keyroots {
-            forest_dist(&t1, &t2, i, j, costs, &mut treedist, None);
-        }
-    }
+    let mut names = Interner::default();
+    let a = FlatTree::from_tree(a, &mut names);
+    let b = FlatTree::from_tree(b, &mut names);
+    script(&a, &b, costs)
+}
+
+/// [`edit_script`] over trees already flattened through one interner.
+pub(crate) fn script(t1: &FlatTree, t2: &FlatTree, costs: &EditCosts) -> (u32, Vec<EditOp>) {
+    let (n, m) = (t1.len(), t2.len());
+    let mut kernel = Kernel::run(t1, t2, costs);
     // Backtrack on the whole-tree problem, descending into sub-problems.
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    backtrack(&t1, &t2, n - 1, m - 1, costs, &treedist, &mut pairs);
+    backtrack(&mut kernel, n - 1, m - 1, &mut pairs);
 
     let mut ops = Vec::new();
-    let mut matched_a = vec![false; n];
-    let mut matched_b = vec![false; m];
-    for &(x, y) in &pairs {
-        matched_a[x] = true;
-        matched_b[y] = true;
-        if t1.labels[x] == t2.labels[y] {
-            ops.push(EditOp::Match { from: x, to: y });
+    let (mut matched_a, mut matched_b) = (vec![false; n], vec![false; m]);
+    for &(from, to) in &pairs {
+        matched_a[from] = true;
+        matched_b[to] = true;
+        ops.push(if t1.labels[from] == t2.labels[to] {
+            EditOp::Match { from, to }
         } else {
-            ops.push(EditOp::Relabel { from: x, to: y });
-        }
+            EditOp::Relabel { from, to }
+        });
     }
-    for (x, seen) in matched_a.iter().enumerate() {
-        if !seen {
-            ops.push(EditOp::Delete { from: x });
-        }
+    for from in (0..n).filter(|&x| !matched_a[x]) {
+        ops.push(EditOp::Delete { from });
     }
-    for (y, seen) in matched_b.iter().enumerate() {
-        if !seen {
-            ops.push(EditOp::Insert { to: y });
-        }
+    for to in (0..m).filter(|&y| !matched_b[y]) {
+        ops.push(EditOp::Insert { to });
     }
     let cost = ops
         .iter()
@@ -119,98 +81,48 @@ pub fn edit_script(a: &Tree<String>, b: &Tree<String>, costs: &EditCosts) -> (u3
     (cost, ops)
 }
 
-/// Forest distance for keyroot pair `(i, j)`; optionally returns the final
-/// `fd` table for backtracking.
-#[allow(clippy::too_many_arguments)]
-fn forest_dist(
-    t1: &Flat,
-    t2: &Flat,
-    i: usize,
-    j: usize,
-    costs: &EditCosts,
-    treedist: &mut [Vec<u32>],
-    mut table_out: Option<&mut Vec<Vec<u32>>>,
-) {
-    let li = t1.lml[i];
-    let lj = t2.lml[j];
-    let rows = i - li + 2;
-    let cols = j - lj + 2;
-    let mut fd = vec![vec![0u32; cols]; rows];
-    for x in 1..rows {
-        fd[x][0] = fd[x - 1][0] + costs.delete;
-    }
-    for y in 1..cols {
-        fd[0][y] = fd[0][y - 1] + costs.insert;
-    }
-    for x in 1..rows {
-        for y in 1..cols {
-            let node1 = li + x - 1;
-            let node2 = lj + y - 1;
-            if t1.lml[node1] == li && t2.lml[node2] == lj {
-                let relabel = if t1.labels[node1] == t2.labels[node2] {
-                    0
-                } else {
-                    costs.relabel
-                };
-                fd[x][y] = (fd[x - 1][y] + costs.delete)
-                    .min(fd[x][y - 1] + costs.insert)
-                    .min(fd[x - 1][y - 1] + relabel);
-                treedist[node1][node2] = fd[x][y];
-            } else {
-                let xi = t1.lml[node1] - li;
-                let yj = t2.lml[node2] - lj;
-                fd[x][y] = (fd[x - 1][y] + costs.delete)
-                    .min(fd[x][y - 1] + costs.insert)
-                    .min(fd[xi][yj] + treedist[node1][node2]);
-            }
-        }
-    }
-    if let Some(out) = table_out.take() {
-        *out = fd;
-    }
-}
-
 /// Backtracks the tree problem rooted at post-order nodes `(i, j)`,
-/// collecting matched/relabeled node pairs.
-fn backtrack(
-    t1: &Flat,
-    t2: &Flat,
-    i: usize,
-    j: usize,
-    costs: &EditCosts,
-    treedist: &[Vec<u32>],
-    pairs: &mut Vec<(usize, usize)>,
-) {
-    // Recompute the fd table for this tree pair.
-    let mut fd: Vec<Vec<u32>> = Vec::new();
-    let mut treedist_scratch = treedist.to_vec();
-    forest_dist(t1, t2, i, j, costs, &mut treedist_scratch, Some(&mut fd));
-
+/// collecting matched/relabeled node pairs. The sub-problem's forest
+/// table is recomputed into the kernel's shared buffer and walked to the
+/// end before any nested sub-problem reuses that buffer.
+fn backtrack(kernel: &mut Kernel<'_>, i: usize, j: usize, pairs: &mut Vec<(usize, usize)>) {
+    let cols = kernel.forest_dist(i, j);
+    let (t1, t2, costs) = (kernel.a, kernel.b, kernel.costs);
+    let fd = |x: usize, y: usize| kernel.fd[x * cols + y];
     let li = t1.lml[i];
     let lj = t2.lml[j];
+    // Diagonal steps in walk order: a root pair, or a nested sub-problem.
+    let mut steps: Vec<(usize, usize, bool)> = Vec::new();
     let mut x = i - li + 1;
     let mut y = j - lj + 1;
     while x > 0 || y > 0 {
-        if x > 0 && fd[x][y] == fd[x - 1][y] + costs.delete {
+        if x > 0 && fd(x, y) == fd(x - 1, y) + costs.delete {
             x -= 1; // node li+x deleted
             continue;
         }
-        if y > 0 && fd[x][y] == fd[x][y - 1] + costs.insert {
+        if y > 0 && fd(x, y) == fd(x, y - 1) + costs.insert {
             y -= 1; // node lj+y inserted
             continue;
         }
         let node1 = li + x - 1;
         let node2 = lj + y - 1;
-        if t1.lml[node1] == li && t2.lml[node2] == lj {
+        let trees = t1.lml[node1] == li && t2.lml[node2] == lj;
+        steps.push((node1, node2, trees));
+        if trees {
             // Trees: the diagonal step pairs the two roots.
-            pairs.push((node1, node2));
             x -= 1;
             y -= 1;
         } else {
-            // Sub-tree substitution: recurse, then jump over both subtrees.
-            backtrack(t1, t2, node1, node2, costs, treedist, pairs);
+            // Sub-tree substitution: jump over both subtrees.
             x = t1.lml[node1] - li;
             y = t2.lml[node2] - lj;
+        }
+    }
+    for (node1, node2, trees) in steps {
+        if trees {
+            pairs.push((node1, node2));
+        } else {
+            backtrack(kernel, node1, node2, pairs);
         }
     }
 }

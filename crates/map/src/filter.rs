@@ -31,7 +31,7 @@
 //! hold `lower_bound ≤ edit_distance` over randomized tree pairs and
 //! `lower_bound == 0` on identical trees.
 
-use crate::zhang_shasha::{label_tree, EditCosts};
+use crate::zhang_shasha::{EditCosts, FlatTree, Interner};
 use std::collections::BTreeMap;
 use webre_tree::Tree;
 use webre_xml::XmlDocument;
@@ -51,40 +51,41 @@ pub struct TreeProfile {
 }
 
 impl TreeProfile {
-    /// Profiles a label tree in one traversal.
+    /// Profiles a label tree.
     pub fn of_tree(tree: &Tree<String>) -> TreeProfile {
-        let mut size = 0usize;
-        let mut leaves = 0usize;
-        let mut depth = 0usize;
-        let mut labels: BTreeMap<String, usize> = BTreeMap::new();
-        // Depth-first with explicit depth tracking.
-        let mut stack = vec![(tree.root(), 1usize)];
-        while let Some((id, d)) = stack.pop() {
-            size += 1;
-            depth = depth.max(d);
-            *labels.entry(tree.value(id).clone()).or_insert(0) += 1;
-            let mut child_count = 0usize;
-            for c in tree.children(id) {
-                child_count += 1;
-                stack.push((c, d + 1));
-            }
-            if child_count == 0 {
-                leaves += 1;
-            }
-        }
-        TreeProfile {
-            size,
-            labels,
-            leaves,
-            depth,
-        }
+        let mut names = Interner::default();
+        let flat = FlatTree::from_tree(tree, &mut names);
+        TreeProfile::of_flat(&flat, &names)
     }
 
     /// Profiles an XML document's label tree (element names, `#PCDATA`
     /// text leaves — the same view [`crate::zhang_shasha::edit_distance_docs`]
     /// compares).
     pub fn of_doc(doc: &XmlDocument) -> TreeProfile {
-        TreeProfile::of_tree(&label_tree(doc))
+        let mut names = Interner::default();
+        let flat = FlatTree::from_doc(doc, &mut names);
+        TreeProfile::of_flat(&flat, &names)
+    }
+
+    /// Profiles a tree already flattened through `names`.
+    pub(crate) fn of_flat(tree: &FlatTree, names: &Interner<'_>) -> TreeProfile {
+        let mut counts = vec![0usize; names.names.len()];
+        for &label in &tree.labels {
+            counts[label as usize] += 1;
+        }
+        let labels = names
+            .names
+            .iter()
+            .zip(counts)
+            .filter(|&(_, count)| count > 0)
+            .map(|(name, count)| ((*name).to_owned(), count))
+            .collect();
+        TreeProfile {
+            size: tree.len(),
+            labels,
+            leaves: (0..tree.len()).filter(|&i| tree.lml[i] == i).count(),
+            depth: tree.depth,
+        }
     }
 
     /// Shared label mass: `Σ_label min(countA, countB)`, an upper bound on

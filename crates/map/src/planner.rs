@@ -25,10 +25,10 @@
 //! index, deletes by source index, inserts by target index) for the same
 //! reason.
 
-use crate::edit_script::{edit_script, EditOp};
+use crate::edit_script::{script, EditOp};
 use crate::filter::{lower_bound, TreeProfile};
 use crate::mapper::transform;
-use crate::zhang_shasha::{label_tree, EditCosts};
+use crate::zhang_shasha::{EditCosts, FlatTree, Interner};
 use webre_obs::{counter, stage, Ctx};
 use webre_schema::MajoritySchema;
 use webre_substrate::json::Json;
@@ -126,17 +126,18 @@ impl MapPlanner {
     ) -> PlannedMap {
         let (mapped, stats, conforms) = transform(doc, schema, dtd);
 
-        let (source, target, bound, identical) = {
+        let (source, target, bound) = {
             let _scope = ctx.span(stage::MAP_FILTER);
-            let source = label_tree(doc);
-            let target = label_tree(&mapped);
+            // One flattening feeds the profiles, identity check and DP.
+            let mut names = Interner::default();
+            let source = FlatTree::from_doc(doc, &mut names);
+            let target = FlatTree::from_doc(&mapped, &mut names);
             let bound = lower_bound(
-                &TreeProfile::of_tree(&source),
-                &TreeProfile::of_tree(&target),
+                &TreeProfile::of_flat(&source, &names),
+                &TreeProfile::of_flat(&target, &names),
                 &self.costs,
             );
-            let identical = source.subtree_eq(source.root(), &target, target.root());
-            (source, target, bound, identical)
+            (source, target, bound)
         };
 
         let mut planned = PlannedMap {
@@ -154,18 +155,17 @@ impl MapPlanner {
         };
 
         if self.filter {
-            if identical {
+            if source == target {
                 // Identical label trees force the identity mapping: every
                 // node matches itself at cost 0, which is exactly what the
                 // DP would return (canonically ordered).
                 planned.tier = MapTier::Conformant;
                 planned.cost = Some(0);
-                let nodes = planned
-                    .document
-                    .tree
-                    .subtree_size(planned.document.root());
-                planned.script =
-                    Some((0..nodes).map(|i| EditOp::Match { from: i, to: i }).collect());
+                planned.script = Some(
+                    (0..target.len())
+                        .map(|i| EditOp::Match { from: i, to: i })
+                        .collect(),
+                );
                 ctx.count(counter::MAP_CONFORMANT, 1);
                 return planned;
             }
@@ -180,7 +180,7 @@ impl MapPlanner {
 
         let (cost, mut script) = {
             let _scope = ctx.span(stage::MAP_EXACT);
-            edit_script(&source, &target, &self.costs)
+            script(&source, &target, &self.costs)
         };
         if self.budget.is_some_and(|budget| cost > budget) {
             // Same rejection the filter would have made with a tighter

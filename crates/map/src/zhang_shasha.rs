@@ -6,9 +6,16 @@
 //! [`EditCosts`]. Complexity is
 //! `O(|T₁|·|T₂|·min(depth₁,leaves₁)·min(depth₂,leaves₂))` — comfortably
 //! fast for resume-sized documents.
+//!
+//! Each tree is flattened once to post-order arrays ([`FlatTree`]) with
+//! labels interned to `u32`; leftmost leaves and keyroots take O(n). The
+//! [`Kernel`] is the crate's only copy of the DP: one flat `n×m`
+//! tree-distance table and one forest buffer reused by every keyroot
+//! pair. [`crate::edit_script`] backtracks on the same kernel.
 
-use webre_tree::Tree;
-use webre_xml::{XmlDocument, XmlNode};
+use std::collections::HashMap;
+use webre_tree::{Edge, Tree};
+use webre_xml::XmlDocument;
 
 /// Operation costs for the edit distance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,124 +35,198 @@ impl Default for EditCosts {
     }
 }
 
-/// A tree flattened to the arrays the algorithm needs.
-struct PostOrder {
-    labels: Vec<String>,
-    /// `lml[i]`: post-order index of the leftmost leaf of the subtree at
-    /// post-order node `i`.
-    lml: Vec<usize>,
-    /// Keyroots: nodes with no left sibling mapping to the same leftmost
-    /// leaf (i.e. the largest node for each distinct `lml`).
-    keyroots: Vec<usize>,
+/// Interns labels to dense `u32` ids. Trees compared with each other must
+/// be flattened through the same interner, so equal labels get equal ids.
+#[derive(Default)]
+pub(crate) struct Interner<'a> {
+    ids: HashMap<&'a str, u32>,
+    /// Every interned label, indexed by id.
+    pub(crate) names: Vec<&'a str>,
 }
 
-impl PostOrder {
-    fn from_tree(tree: &Tree<String>) -> Self {
-        let mut labels = Vec::new();
-        let mut lml = Vec::new();
-        // Map NodeId → post-order index by walking post-order.
-        let ids: Vec<_> = tree.post_order(tree.root()).collect();
-        let index_of = |id: webre_tree::NodeId| ids.iter().position(|x| *x == id).expect("in walk");
-        for &id in &ids {
-            labels.push(tree.value(id).clone());
-            // Leftmost leaf: descend first children.
-            let mut leaf = id;
-            while let Some(first) = tree.first_child(leaf) {
-                leaf = first;
+impl<'a> Interner<'a> {
+    fn intern(&mut self, label: &'a str) -> u32 {
+        let next = self.names.len() as u32;
+        *self.ids.entry(label).or_insert_with(|| {
+            self.names.push(label);
+            next
+        })
+    }
+}
+
+/// A label tree flattened to the arrays the dynamic program reads, each
+/// indexed by post-order number. Two flattenings through one interner are
+/// equal exactly when the label trees are.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct FlatTree {
+    /// Interned label of each node.
+    pub(crate) labels: Vec<u32>,
+    /// `lml[i]`: post-order index of the leftmost leaf of the subtree at
+    /// `i`; node `i` is a leaf exactly when `lml[i] == i`.
+    pub(crate) lml: Vec<usize>,
+    /// Keyroots in ascending order: the largest node for each distinct
+    /// `lml` (the root and every node with a left sibling).
+    keyroots: Vec<usize>,
+    /// Height in nodes (a single-node tree has depth 1).
+    pub(crate) depth: usize,
+}
+
+impl FlatTree {
+    /// Flattens a label tree.
+    pub(crate) fn from_tree<'a>(tree: &'a Tree<String>, names: &mut Interner<'a>) -> FlatTree {
+        FlatTree::build(tree, String::as_str, names)
+    }
+
+    /// Flattens an XML document's label tree: element names, with text
+    /// nodes as `#PCDATA` leaves.
+    pub(crate) fn from_doc<'a>(doc: &'a XmlDocument, names: &mut Interner<'a>) -> FlatTree {
+        FlatTree::build(&doc.tree, |node| node.name().unwrap_or("#PCDATA"), names)
+    }
+
+    /// One depth-first walk, numbering nodes as it leaves them. The leftmost
+    /// leaf of a subtree is the first of its nodes to be numbered, so a
+    /// node's `lml` is the count of numbered nodes when the walk enters it.
+    fn build<'a, T>(
+        tree: &'a Tree<T>,
+        label: impl Fn(&'a T) -> &'a str,
+        names: &mut Interner<'a>,
+    ) -> FlatTree {
+        let (mut labels, mut lml, mut depth) = (Vec::new(), Vec::new(), 0);
+        // The leftmost leaf of every node the walk is inside.
+        let mut open = Vec::new();
+        for edge in tree.traverse(tree.root()) {
+            match edge {
+                Edge::Open(_) => {
+                    open.push(labels.len());
+                    depth = depth.max(open.len());
+                }
+                Edge::Close(id) => {
+                    labels.push(names.intern(label(tree.value(id))));
+                    lml.extend(open.pop());
+                }
             }
-            lml.push(index_of(leaf));
         }
-        let n = labels.len();
-        let mut keyroots = Vec::new();
-        for i in 0..n {
-            let is_keyroot = !(i + 1..n).any(|j| lml[j] == lml[i]);
-            if is_keyroot {
-                keyroots.push(i);
-            }
+        // The last node with a given leftmost leaf is that leaf's keyroot.
+        let mut last = vec![0; lml.len()];
+        for (i, &leaf) in lml.iter().enumerate() {
+            last[leaf] = i;
         }
-        PostOrder {
+        let keyroots = (0..lml.len()).filter(|&i| last[lml[i]] == i).collect();
+        FlatTree {
             labels,
             lml,
             keyroots,
+            depth,
         }
+    }
+
+    /// Node count.
+    pub(crate) fn len(&self) -> usize {
+        self.labels.len()
+    }
+}
+
+/// The dynamic program over one pair of flattened trees.
+pub(crate) struct Kernel<'t> {
+    pub(crate) a: &'t FlatTree,
+    pub(crate) b: &'t FlatTree,
+    pub(crate) costs: EditCosts,
+    /// `treedist[i·m + j]`: distance between the subtrees at `a`'s node `i`
+    /// and `b`'s node `j`.
+    treedist: Vec<u32>,
+    /// Forest table of the most recent [`Kernel::forest_dist`] call,
+    /// row-major; sized once for the whole-tree pair and reused.
+    pub(crate) fd: Vec<u32>,
+}
+
+impl<'t> Kernel<'t> {
+    /// Runs the forest DP for every keyroot pair, filling the tree-distance
+    /// table.
+    pub(crate) fn run(a: &'t FlatTree, b: &'t FlatTree, costs: &EditCosts) -> Kernel<'t> {
+        let mut kernel = Kernel {
+            a,
+            b,
+            costs: *costs,
+            treedist: vec![0; a.len() * b.len()],
+            fd: vec![0; (a.len() + 1) * (b.len() + 1)],
+        };
+        for &i in &a.keyroots {
+            for &j in &b.keyroots {
+                kernel.forest_dist(i, j);
+            }
+        }
+        kernel
+    }
+
+    /// Distance between the two whole trees.
+    pub(crate) fn distance(&self) -> u32 {
+        self.treedist[self.treedist.len() - 1]
+    }
+
+    /// The forest DP for the subtrees at `(i, j)`. Afterwards
+    /// `fd[x·cols + y]` is the distance between `a`'s forest
+    /// `lml[i]..lml[i]+x` and `b`'s forest `lml[j]..lml[j]+y`; returns
+    /// `cols`. Whole-subtree cells are recorded in the tree-distance table
+    /// (rewriting a cell stores the value it already held).
+    pub(crate) fn forest_dist(&mut self, i: usize, j: usize) -> usize {
+        let (a, b, costs) = (self.a, self.b, self.costs);
+        let (li, lj) = (a.lml[i], b.lml[j]);
+        let cols = j - lj + 2;
+        let m = b.len();
+        let fd = &mut self.fd[..(i - li + 2) * cols];
+        fd[0] = 0;
+        for y in 1..cols {
+            fd[y] = fd[y - 1] + costs.insert;
+        }
+        for node1 in li..=i {
+            let x = node1 - li + 1;
+            let (done, row) = fd.split_at_mut(x * cols);
+            let prev = &done[(x - 1) * cols..];
+            // The row at which node1's own subtree forest starts.
+            let sub = &done[(a.lml[node1] - li) * cols..];
+            let mut left = prev[0] + costs.delete;
+            row[0] = left;
+            // Column y ≥ 1 is b's node lj + y - 1: its cell, the cells
+            // above-left and above, its leftmost leaf and label, and its
+            // tree distance to node1.
+            let cells = row[1..cols]
+                .iter_mut()
+                .zip(prev.windows(2))
+                .zip(b.lml[lj..=j].iter().zip(&b.labels[lj..=j]))
+                .zip(&mut self.treedist[node1 * m + lj..=node1 * m + j]);
+            let (whole1, label1) = (a.lml[node1] == li, a.labels[node1]);
+            for (((cell, above), (&leaf, &label2)), dist) in cells {
+                let edit = (above[1] + costs.delete).min(left + costs.insert);
+                left = if whole1 && leaf == lj {
+                    // Both forests are whole trees: record tree distance.
+                    let relabel = if label1 == label2 { 0 } else { costs.relabel };
+                    *dist = edit.min(above[0] + relabel);
+                    *dist
+                } else {
+                    edit.min(sub[leaf - lj] + *dist)
+                };
+                *cell = left;
+            }
+        }
+        cols
     }
 }
 
 /// Computes the edit distance between two label trees.
 pub fn edit_distance(a: &Tree<String>, b: &Tree<String>, costs: &EditCosts) -> u32 {
-    let t1 = PostOrder::from_tree(a);
-    let t2 = PostOrder::from_tree(b);
-    let n = t1.labels.len();
-    let m = t2.labels.len();
-    let mut treedist = vec![vec![0u32; m]; n];
-
-    for &i in &t1.keyroots {
-        for &j in &t2.keyroots {
-            forest_dist(&t1, &t2, i, j, costs, &mut treedist);
-        }
-    }
-    treedist[n - 1][m - 1]
+    let mut names = Interner::default();
+    let a = FlatTree::from_tree(a, &mut names);
+    let b = FlatTree::from_tree(b, &mut names);
+    Kernel::run(&a, &b, costs).distance()
 }
 
-/// The inner forest-distance DP for keyroot pair `(i, j)`.
-fn forest_dist(
-    t1: &PostOrder,
-    t2: &PostOrder,
-    i: usize,
-    j: usize,
-    costs: &EditCosts,
-    treedist: &mut [Vec<u32>],
-) {
-    let li = t1.lml[i];
-    let lj = t2.lml[j];
-    let rows = i - li + 2;
-    let cols = j - lj + 2;
-    // fd[x][y]: distance between forests t1[li..li+x-1] and t2[lj..lj+y-1].
-    let mut fd = vec![vec![0u32; cols]; rows];
-    for x in 1..rows {
-        fd[x][0] = fd[x - 1][0] + costs.delete;
-    }
-    for y in 1..cols {
-        fd[0][y] = fd[0][y - 1] + costs.insert;
-    }
-    for x in 1..rows {
-        for y in 1..cols {
-            let node1 = li + x - 1;
-            let node2 = lj + y - 1;
-            if t1.lml[node1] == li && t2.lml[node2] == lj {
-                // Both forests are whole trees: record tree distance.
-                let relabel = if t1.labels[node1] == t2.labels[node2] {
-                    0
-                } else {
-                    costs.relabel
-                };
-                fd[x][y] = (fd[x - 1][y] + costs.delete)
-                    .min(fd[x][y - 1] + costs.insert)
-                    .min(fd[x - 1][y - 1] + relabel);
-                treedist[node1][node2] = fd[x][y];
-            } else {
-                let xi = t1.lml[node1].saturating_sub(li);
-                let yj = t2.lml[node2].saturating_sub(lj);
-                fd[x][y] = (fd[x - 1][y] + costs.delete)
-                    .min(fd[x][y - 1] + costs.insert)
-                    .min(fd[xi][yj] + treedist[node1][node2]);
-            }
-        }
-    }
-}
-
-/// Converts an XML document to a label tree (element names; text nodes
-/// become `#PCDATA` leaves).
-pub fn label_tree(doc: &XmlDocument) -> Tree<String> {
-    doc.tree.map(|n| match n {
-        XmlNode::Element { name, .. } => name.clone(),
-        XmlNode::Text(_) => "#PCDATA".to_owned(),
-    })
-}
-
-/// Edit distance between two XML documents' structures.
+/// Edit distance between two XML documents' structures (element names;
+/// text nodes are `#PCDATA` leaves).
 pub fn edit_distance_docs(a: &XmlDocument, b: &XmlDocument, costs: &EditCosts) -> u32 {
-    edit_distance(&label_tree(a), &label_tree(b), costs)
+    let mut names = Interner::default();
+    let a = FlatTree::from_doc(a, &mut names);
+    let b = FlatTree::from_doc(b, &mut names);
+    Kernel::run(&a, &b, costs).distance()
 }
 
 #[cfg(test)]
@@ -259,6 +340,22 @@ mod tests {
     fn known_zhang_shasha_example() {
         // The classical example: f(d(a,c(b)),e) vs f(c(d(a,b)),e) = 2.
         assert_eq!(d("f(d(a,c(b)),e)", "f(c(d(a,b)),e)"), 2);
+    }
+
+    #[test]
+    fn flattening_finds_leftmost_leaves_and_keyroots() {
+        // Post-order a b c d e f; keyroots are c, e and the root f.
+        let t = tree("f(d(a,c(b)),e)");
+        let mut names = Interner::default();
+        let flat = FlatTree::from_tree(&t, &mut names);
+        assert_eq!(names.names, ["a", "b", "c", "d", "e", "f"]);
+        assert_eq!(flat.labels, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(flat.lml, [0, 1, 1, 0, 4, 0]);
+        assert_eq!(flat.keyroots, [2, 4, 5]);
+        assert_eq!(flat.depth, 4);
+        // A shared interner gives equal labels equal ids.
+        let other = FlatTree::from_tree(&tree("e(f)"), &mut names);
+        assert_eq!(other.labels, [5, 4]);
     }
 
     #[test]

@@ -482,7 +482,7 @@ mod tests {
     #[test]
     fn idle_keep_alive_hits_the_idle_budget_only() {
         let socket = FakeSocket::default();
-        let mut conn: Conn<FakeSocket> = Conn::new(socket, 1024, 0);
+        let conn: Conn<FakeSocket> = Conn::new(socket, 1024, 0);
         assert_eq!(conn.check_deadline(9 * SEC, &timeouts()), None);
         assert_eq!(
             conn.check_deadline(10 * SEC + 1, &timeouts()),

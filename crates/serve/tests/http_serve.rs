@@ -76,7 +76,7 @@ fn keep_alive_carries_multiple_requests() {
     let server = start(ephemeral(1, 16));
     let addr = server.local_addr();
 
-    let mut stream = TcpStream::connect(addr).unwrap();
+    let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
