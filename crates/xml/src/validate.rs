@@ -141,7 +141,28 @@ fn union(a: Option<ContentExpr>, b: Option<ContentExpr>) -> Option<ContentExpr> 
 
 /// Whether the token sequence `tokens` matches the content model `expr`.
 pub fn matches(expr: &ContentExpr, tokens: &[&str]) -> bool {
-    let mut current = expr.clone();
+    let mut tokens = tokens;
+    let mut current = match expr {
+        ContentExpr::Seq(items) => {
+            // Sequence models take their leading items in place: a name
+            // consumes an equal token (any other token cannot match), and
+            // `#PCDATA`, being optional text, lets an element token pass.
+            // Derivatives take over from the first other item or text
+            // token, so a long sequence is not re-cloned per child.
+            let mut at = 0;
+            while let (Some(item), Some(&token)) = (items.get(at), tokens.first()) {
+                match item {
+                    ContentExpr::Name(n) if n == token => tokens = &tokens[1..],
+                    ContentExpr::Name(_) => return false,
+                    ContentExpr::PcData if token != "#PCDATA" => {}
+                    _ => break,
+                }
+                at += 1;
+            }
+            ContentExpr::Seq(items[at..].to_vec())
+        }
+        other => other.clone(),
+    };
     for token in tokens {
         match deriv(&current, token) {
             Some(next) => current = next,
