@@ -945,16 +945,25 @@ pub fn shard_merge_vs_batch(rng: &mut StdRng) -> Result<(), String> {
             let sharded_dtd =
                 webre_schema::derive_dtd_sharded(&b.schema, &sharded.docs_by_shard(), &config)
                     .to_dtd_string();
-            if batch_dtd != sharded_dtd {
-                return Err(format!(
-                    "sharded DTD derivation diverged from batch \
-                     (rep_threshold={}, optional_below={:?})\n  {}\n  batch:   {}\n  sharded: {}",
-                    config.rep_threshold,
-                    config.optional_below,
-                    context(),
-                    snippet(&batch_dtd),
-                    snippet(&sharded_dtd)
-                ));
+            let live_dtd = webre_schema::derive_dtd_view(
+                &b.schema,
+                &sharded,
+                &config,
+                webre_obs::Ctx::disabled(),
+            )
+            .to_dtd_string();
+            for (route, dtd) in [("sharded", &sharded_dtd), ("live view", &live_dtd)] {
+                if batch_dtd != *dtd {
+                    return Err(format!(
+                        "{route} DTD derivation diverged from batch \
+                         (rep_threshold={}, optional_below={:?})\n  {}\n  batch:   {}\n  {route}: {}",
+                        config.rep_threshold,
+                        config.optional_below,
+                        context(),
+                        snippet(&batch_dtd),
+                        snippet(dtd)
+                    ));
+                }
             }
         }
     }

@@ -13,11 +13,20 @@
 //!   generator of the frequent-path search;
 //! * root-label votes for majority-root election.
 //!
-//! Accreting a document is O(paths in that document); mining then runs
-//! with O(1) frequency lookups instead of O(n) scans. The original
-//! `DocPaths` values are retained (they carry the multiplicity, position
-//! and child-sequence bookkeeping DTD derivation needs), so
-//! [`CorpusIndex::docs`] slots directly into [`crate::derive_dtd`].
+//! Alongside them it keeps the two per-path aggregates DTD derivation
+//! (Section 3.3) reads, so a served DTD is derived in O(schema) rather
+//! than by rescanning every document:
+//!
+//! * sibling-position `(sum, count)` per path, for the ordering rule;
+//! * a histogram of documents by recorded multiplicity per path, so
+//!   "documents with `⟨p, num⟩ ≥ repThreshold`" is a range sum for the
+//!   repetition rule.
+//!
+//! Accreting a document is O(paths in that document); mining and
+//! derivation then run on O(1) lookups instead of O(n) scans. The
+//! original `DocPaths` values are still retained: the opt-in
+//! group-pattern extension reads their child sequences, and
+//! [`CorpusIndex::docs`] replays the corpus for persistence.
 //!
 //! # Shape interning
 //!
@@ -30,8 +39,8 @@
 //! shape table and each accreted document is a 4-byte id in arrival
 //! order. Equality is exact (hash buckets are confirmed with a full
 //! `DocPaths` comparison), so [`CorpusIndex::docs`] yields precisely
-//! the accreted multiset in arrival order — byte-identical mining and
-//! DTD derivation, at ~4 bytes per duplicate document.
+//! the accreted multiset in arrival order, at ~4 bytes per duplicate
+//! document.
 //!
 //! The index is append-only by design: document *removal* would require
 //! decrementing every table, and no current workload retires documents
@@ -41,7 +50,9 @@
 
 use crate::frequent::CorpusView;
 use crate::paths::{DocPaths, LabelPath};
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -99,6 +110,114 @@ fn shape_hash(doc: &DocPaths) -> u64 {
     h ^ acc
 }
 
+/// The per-path aggregates mining and DTD derivation read, summed over
+/// a document set. Keys are owned paths in a [`CorpusIndex`] and
+/// borrowed ones when a document slice is aggregated in one pass.
+#[derive(Clone, Debug)]
+pub(crate) struct PathStats<K> {
+    /// Documents aggregated.
+    docs: usize,
+    /// Documents containing each path.
+    frequency: HashMap<K, usize>,
+    /// Sum and count of 0-based sibling positions per path.
+    positions: HashMap<K, (f64, u64)>,
+    /// Documents by recorded multiplicity `⟨p, num⟩`, per path.
+    multiplicity: HashMap<K, BTreeMap<u32, usize>>,
+}
+
+impl<K> Default for PathStats<K> {
+    fn default() -> Self {
+        PathStats {
+            docs: 0,
+            frequency: HashMap::new(),
+            positions: HashMap::new(),
+            multiplicity: HashMap::new(),
+        }
+    }
+}
+
+/// Applies `f` to the value under `path`, inserting a default under
+/// `key()` first when absent — the key is only built on a miss.
+fn update<K: Hash + Eq + Borrow<[String]>, V: Default>(
+    map: &mut HashMap<K, V>,
+    path: &[String],
+    key: impl FnOnce() -> K,
+    f: impl FnOnce(&mut V),
+) {
+    match map.get_mut(path) {
+        Some(value) => f(value),
+        None => {
+            let mut value = V::default();
+            f(&mut value);
+            map.insert(key(), value);
+        }
+    }
+}
+
+impl<K: Hash + Eq + Borrow<[String]>> PathStats<K> {
+    /// Aggregates one document. O(paths in `doc`).
+    pub(crate) fn add_doc<'d>(&mut self, doc: &'d DocPaths, key: impl Fn(&'d LabelPath) -> K) {
+        self.docs += 1;
+        for path in &doc.paths {
+            update(&mut self.frequency, path, || key(path), |n| *n += 1);
+        }
+        for (path, &(sum, count)) in &doc.positions {
+            update(&mut self.positions, path, || key(path), |p| {
+                p.0 += sum;
+                p.1 += count;
+            });
+        }
+        for (path, &num) in &doc.multiplicity {
+            update(&mut self.multiplicity, path, || key(path), |h| {
+                *h.entry(num).or_insert(0) += 1;
+            });
+        }
+    }
+
+    /// Pointwise addition of another document set's aggregates.
+    fn absorb(&mut self, other: PathStats<K>) {
+        self.docs += other.docs;
+        for (path, count) in other.frequency {
+            *self.frequency.entry(path).or_insert(0) += count;
+        }
+        for (path, (sum, count)) in other.positions {
+            let entry = self.positions.entry(path).or_insert((0.0, 0));
+            entry.0 += sum;
+            entry.1 += count;
+        }
+        for (path, histogram) in other.multiplicity {
+            let entry = self.multiplicity.entry(path).or_default();
+            for (num, docs) in histogram {
+                *entry.entry(num).or_insert(0) += docs;
+            }
+        }
+    }
+
+    pub(crate) fn frequency(&self, path: &[String]) -> usize {
+        self.frequency.get(path).copied().unwrap_or(0)
+    }
+
+    pub(crate) fn position_sum(&self, path: &[String]) -> (f64, u64) {
+        self.positions.get(path).copied().unwrap_or((0.0, 0))
+    }
+
+    /// Documents whose recorded multiplicity of `path` is at least `t`;
+    /// a document without the path records 0, so `t = 0` counts all.
+    pub(crate) fn docs_with_multiplicity_at_least(&self, path: &[String], t: u32) -> usize {
+        if t == 0 {
+            return self.docs;
+        }
+        self.multiplicity
+            .get(path)
+            .map_or(0, |histogram| histogram.range(t..).map(|(_, docs)| docs).sum())
+    }
+
+    /// Paths with document support, in arbitrary order.
+    pub(crate) fn paths(&self) -> impl Iterator<Item = &K> + '_ {
+        self.frequency.keys()
+    }
+}
+
 /// An append-only corpus with the miner's query tables kept incrementally.
 #[derive(Clone, Debug, Default)]
 pub struct CorpusIndex {
@@ -108,7 +227,7 @@ pub struct CorpusIndex {
     order: Vec<u32>,
     /// Shape-hash → candidate shape ids (collision bucket).
     intern: HashMap<u64, Vec<u32>>,
-    frequency: HashMap<LabelPath, usize>,
+    stats: PathStats<LabelPath>,
     children: HashMap<LabelPath, BTreeSet<String>>,
     root_votes: HashMap<String, usize>,
     version: u64,
@@ -131,13 +250,16 @@ impl CorpusIndex {
 
     /// Accretes one document, updating every table. O(paths in `doc`).
     pub fn push(&mut self, doc: DocPaths) {
+        self.stats.add_doc(&doc, LabelPath::clone);
         for path in &doc.paths {
-            *self.frequency.entry(path.clone()).or_insert(0) += 1;
-            if path.len() > 1 {
-                self.children
-                    .entry(path[..path.len() - 1].to_vec())
-                    .or_default()
-                    .insert(path.last().expect("non-empty path").clone());
+            if let [prefix @ .., label] = &path[..] {
+                if !prefix.is_empty() {
+                    update(&mut self.children, prefix, || prefix.to_vec(), |labels| {
+                        if !labels.contains(label) {
+                            labels.insert(label.clone());
+                        }
+                    });
+                }
             }
         }
         *self.root_votes.entry(doc.root_label.clone()).or_insert(0) += 1;
@@ -194,9 +316,7 @@ impl CorpusIndex {
     /// this index's. Absorbing indexes built over disjoint document sets
     /// yields exactly the index of the concatenation.
     pub fn absorb(&mut self, other: CorpusIndex) {
-        for (path, count) in other.frequency {
-            *self.frequency.entry(path).or_insert(0) += count;
-        }
+        self.stats.absorb(other.stats);
         // webre::allow(nondet-iter): each entry extends its own BTreeSet, which sorts itself
         for (prefix, labels) in other.children {
             self.children.entry(prefix).or_default().extend(labels);
@@ -217,9 +337,37 @@ impl CorpusIndex {
     }
 
     /// The mergeable [`crate::PathTable`] aggregate of this index's
-    /// documents.
+    /// documents, copied from the incremental tables in O(paths).
     pub fn table(&self) -> crate::PathTable {
-        crate::PathTable::from_docs(self.docs())
+        crate::PathTable {
+            doc_count: self.len(),
+            frequency: self
+                .stats
+                .frequency
+                .iter()
+                .map(|(path, count)| (path.clone(), *count))
+                .collect(),
+            positions: self
+                .stats
+                .positions
+                .iter()
+                .map(|(path, sums)| (path.clone(), *sums))
+                .collect(),
+        }
+    }
+}
+
+impl crate::DtdView for CorpusIndex {
+    fn position_sum(&self, path: &[String]) -> (f64, u64) {
+        self.stats.position_sum(path)
+    }
+
+    fn docs_with_multiplicity_at_least(&self, path: &[String], t: u32) -> usize {
+        self.stats.docs_with_multiplicity_at_least(path, t)
+    }
+
+    fn docs_by_shard(&self) -> Vec<Vec<&DocPaths>> {
+        vec![self.docs().collect()]
     }
 }
 
@@ -229,7 +377,7 @@ impl CorpusView for CorpusIndex {
     }
 
     fn frequency(&self, path: &[String]) -> usize {
-        self.frequency.get(path).copied().unwrap_or(0)
+        self.stats.frequency(path)
     }
 
     fn child_labels(&self, prefix: &[String]) -> Vec<String> {
@@ -496,6 +644,11 @@ mod tests {
                 );
             }
             assert_eq!(a.root_votes(), b.root_votes(), "seed {seed}");
+            // The table copied from the incremental maps equals the one
+            // aggregated from the documents, whatever the order.
+            let batch = crate::PathTable::from_docs(&docs);
+            assert_eq!(a.table(), batch, "seed {seed}");
+            assert_eq!(b.table(), batch, "seed {seed}");
         }
     }
 

@@ -24,7 +24,7 @@ pub mod sharded;
 
 pub use codec::{doc_from_record, doc_to_record};
 pub use dtd_rules::{
-    derive_dtd, derive_dtd_obs, derive_dtd_sharded, derive_dtd_sharded_obs, DtdConfig,
+    derive_dtd, derive_dtd_obs, derive_dtd_sharded, derive_dtd_view, DtdConfig, DtdView,
 };
 pub use frequent::{CorpusView, FrequentPathMiner, MiningOutcome};
 pub use incremental::CorpusIndex;

@@ -17,6 +17,7 @@
 //! produces the exact schema) batch mining over the concatenated
 //! documents would.
 
+use crate::dtd_rules::DtdView;
 use crate::frequent::CorpusView;
 use crate::incremental::CorpusIndex;
 use crate::paths::{DocPaths, LabelPath};
@@ -197,7 +198,7 @@ impl ShardedCorpus {
     }
 
     /// Per-shard document views (arrival order, duplicates interned),
-    /// for sharded DTD derivation.
+    /// for the slice entry point [`crate::derive_dtd_sharded`].
     pub fn docs_by_shard(&self) -> Vec<Vec<&DocPaths>> {
         self.shards.iter().map(|s| s.docs().collect()).collect()
     }
@@ -222,6 +223,26 @@ impl ShardedCorpus {
     pub fn table(&self) -> PathTable {
         let tables: Vec<PathTable> = self.shards.iter().map(CorpusIndex::table).collect();
         PathTable::merged(&tables)
+    }
+}
+
+impl DtdView for ShardedCorpus {
+    fn position_sum(&self, path: &[String]) -> (f64, u64) {
+        self.shards.iter().fold((0.0, 0), |(sum, count), shard| {
+            let (s, c) = shard.position_sum(path);
+            (sum + s, count + c)
+        })
+    }
+
+    fn docs_with_multiplicity_at_least(&self, path: &[String], t: u32) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| shard.docs_with_multiplicity_at_least(path, t))
+            .sum()
+    }
+
+    fn docs_by_shard(&self) -> Vec<Vec<&DocPaths>> {
+        ShardedCorpus::docs_by_shard(self)
     }
 }
 
@@ -256,7 +277,7 @@ impl CorpusView for ShardedCorpus {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::frequent::FrequentPathMiner;
     use crate::paths::extract_paths;
@@ -272,7 +293,7 @@ mod tests {
     }
 
     /// Small random label-tree corpus (mirrors the incremental tests).
-    fn random_corpus(rng: &mut StdRng) -> Vec<DocPaths> {
+    pub(crate) fn random_corpus(rng: &mut StdRng) -> Vec<DocPaths> {
         const LABELS: &[&str] = &["a", "b", "c", "d"];
         fn element(rng: &mut StdRng, label: &str, depth: u32) -> String {
             let arity = if depth == 0 { 0 } else { rng.gen_range(0..=3u32) };

@@ -10,9 +10,10 @@
 //! writes costs one recompute, not N. This write-invalidate /
 //! read-recompute batching is what keeps accretion fast under load.
 //!
-//! Sharding: each document routes to `hash % shards`; mining runs over
-//! the union view and DTD derivation over the per-shard document slices.
-//! Both are held equal to single-index batch processing by the
+//! Sharding: each document routes to `hash % shards`; mining and DTD
+//! derivation both run over the union view, summing per-shard tables,
+//! so a recompute costs O(schema), not O(documents). Both are held
+//! equal to single-index batch processing by the
 //! `shard-merge-vs-batch` differential oracle in `webre-check`.
 //!
 //! Durability: with a [`CorpusStore`] attached, every accretion appends
@@ -37,7 +38,7 @@ use std::sync::{Arc, RwLock};
 use webre_convert::ConvertStats;
 use webre_obs::Ctx;
 use webre_schema::{
-    derive_dtd_sharded_obs, doc_to_record, extract_paths, DocPaths, MajoritySchema, PathTable,
+    derive_dtd_view, doc_to_record, extract_paths, DocPaths, MajoritySchema, PathTable,
     ShardedCorpus,
 };
 use webre_substrate::wal::checksum;
@@ -174,12 +175,8 @@ impl LiveCorpus {
         {
             None => (None, None, None),
             Some(outcome) => {
-                let dtd = derive_dtd_sharded_obs(
-                    &outcome.schema,
-                    &inner.corpus.docs_by_shard(),
-                    &engine.dtd_config,
-                    ctx,
-                );
+                let dtd =
+                    derive_dtd_view(&outcome.schema, &inner.corpus, &engine.dtd_config, ctx);
                 (
                     Some(outcome.schema.render()),
                     Some(dtd.to_dtd_string()),

@@ -9,9 +9,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# --workspace matters: the root manifest is both a workspace and the
-# webre-suite package, so a bare `cargo build` only builds webre-suite
-# and would leave ./target/release/webre stale (or missing).
+# The root manifest is both a workspace and the webre-suite package;
+# its `default-members` make bare `cargo build` / `cargo test` cover
+# every crate, and --workspace says so explicitly.
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
