@@ -11,18 +11,20 @@
 //!                    per request, the cache can only miss
 //!
 //! Results go to stdout as a table and to `BENCH_serve.json` (override
-//! with `WEBRE_BENCH_SERVE_OUT`) as JSON lines, one record per scenario.
+//! with `WEBRE_BENCH_SERVE_OUT`) as JSON lines, one record per scenario,
+//! replacing this binary's earlier records by name and keeping the rest.
 //!
 //! Run with: `cargo run --release -p webre-bench --bin serve_throughput`
 //! Args: `[--workers N] [--clients N] [--requests N]` (requests are per
 //! client, per scenario).
 
-use std::io::{BufReader, Write as _};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Instant;
 use webre::serve::server::{ServeConfig, Server};
 use webre::Pipeline;
 use webre_corpus::CorpusGenerator;
+use webre_substrate::bench::write_named_records;
 use webre_substrate::http::{read_response, write_request};
 
 struct Scenario {
@@ -208,25 +210,28 @@ fn main() {
 
     let out_path = std::env::var("WEBRE_BENCH_SERVE_OUT")
         .unwrap_or_else(|_| "BENCH_serve.json".to_owned());
-    let mut out = std::fs::File::create(&out_path).expect("create bench output");
-    for r in &records {
-        writeln!(
-            out,
-            "{{\"name\":\"serve_{}\",\"workers\":{workers},\"clients\":{clients},\
-             \"requests\":{},\"seconds\":{:.6},\"rps\":{:.1},\"p50_us\":{},\"p95_us\":{},\
-             \"p99_us\":{},\"p999_us\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
-            r.name,
-            r.requests,
-            r.seconds,
-            r.rps,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            r.p999_us,
-            r.cache_hits,
-            r.cache_misses
-        )
-        .expect("write record");
-    }
+    let lines: Vec<String> = records
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"name\":\"serve_{}\",\"workers\":{workers},\"clients\":{clients},\
+                 \"requests\":{},\"seconds\":{:.6},\"rps\":{:.1},\"p50_us\":{},\"p95_us\":{},\
+                 \"p99_us\":{},\"p999_us\":{},\"cache_hits\":{},\"cache_misses\":{}}}",
+                r.name,
+                r.requests,
+                r.seconds,
+                r.rps,
+                r.p50_us,
+                r.p95_us,
+                r.p99_us,
+                r.p999_us,
+                r.cache_hits,
+                r.cache_misses
+            )
+        })
+        .collect();
+    // Other harnesses own records in the same file (`webre load` writes
+    // `serve_load`); replace only this binary's scenarios.
+    write_named_records(std::path::Path::new(&out_path), &lines).expect("write bench output");
     println!("==> {} record(s) written to {out_path}", records.len());
 }

@@ -125,7 +125,7 @@ usage:
   webre serve    [--addr HOST:PORT] [--workers N] [--cache-cap N] [--queue-cap N]
                  [--max-body BYTES] [--deadline-ms N] [--read-timeout-ms N]
                  [--idle-timeout-ms N] [--write-timeout-ms N] [--data-dir DIR]
-                 [--shards N] [--fsync-every N] [--compact-min N] [--map-budget N]
+                 [--shards N] [--fsync-every N] [--map-budget N]
                  [--domain d.json] [--root NAME] [--sup F] [--ratio F]
                  [--trace-out FILE]
   webre load     [--addr HOST:PORT] [--connections N] [--loris N] [--duration SECS]
@@ -548,7 +548,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
             "data-dir",
             "shards",
             "fsync-every",
-            "compact-min",
             "map-budget",
             "domain",
             "root",
@@ -590,8 +589,8 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
         data_dir: parsed.value("data-dir").map(PathBuf::from),
         shards: parsed.uint("shards", defaults.shards)?.max(1),
         sync_every: parsed.uint("fsync-every", defaults.sync_every)?.max(1),
-        compact_min: parsed.uint("compact-min", defaults.compact_min)?.max(1),
         map_budget: budget_flag(&parsed, "map-budget")?,
+        ..defaults
     };
     let pipeline = pipeline_from(&parsed)?;
     let workers = config.workers;
@@ -883,7 +882,6 @@ fn cmd_load(args: &[String]) -> Result<ExitCode, CliError> {
     }
 
     if let Some(path) = parsed.value("bench-out") {
-        use std::io::Write as _;
         let record = format!(
             "{{\"name\":\"serve_load\",\"connections\":{},\"loris\":{},\"duration_s\":{},\
              \"workers\":{workers},\"deadline_ms\":{deadline_ms},\
@@ -921,14 +919,9 @@ fn cmd_load(args: &[String]) -> Result<ExitCode, CliError> {
             report.stalled_workers,
             report.byte_identical,
         );
-        let mut out = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-        writeln!(out, "{record}")
+        webre_substrate::bench::write_named_records(Path::new(path), &[record])
             .map_err(|e| runtime_err(format!("cannot write {path}: {e}")))?;
-        println!("==> serve_load record appended to {path}");
+        println!("==> serve_load record written to {path}");
     }
 
     if failures.is_empty() {
@@ -1279,22 +1272,14 @@ fn spawn_scale_node(
         .arg("16")
         .stdout(std::process::Stdio::piped());
     if let Some(dir) = data_dir {
-        // Bulk-load posture: big fsync batches, compaction off. A
-        // mid-stream compaction rewrites the whole shard snapshot, and
-        // past ~100k docs that stall outlives the sibling instances'
-        // keep-alive read timeout; the raw WAL for a million stream docs
-        // is only ~150 MB, so deferring compaction to the next restart
-        // is the cheaper trade. Compaction itself is exercised by the
-        // persistence tests and the verify-script smoke run.
+        // Bulk-load posture: one fsync per 2,048 documents per shard.
         command
             .arg("--data-dir")
             .arg(dir.join(format!("instance-{index}")))
             .arg("--shards")
             .arg(shards.to_string())
             .arg("--fsync-every")
-            .arg("2048")
-            .arg("--compact-min")
-            .arg("1000000000");
+            .arg("2048");
     }
     let mut child = command
         .spawn()
@@ -1594,7 +1579,7 @@ fn cmd_scale(args: &[String]) -> Result<ExitCode, CliError> {
                     data_dir: dir.join(format!("instance-{k}")),
                     shards,
                     sync_every: 256,
-                    compact_min: 1024,
+                    ..Default::default()
                 };
                 let (_, corpus, report) = webre::serve::persist::CorpusStore::open(&config)
                     .map_err(|e| runtime_err(format!("replay of instance {k} failed: {e}")))?;

@@ -279,9 +279,11 @@ fn schema(app: &App, dtd: bool, ctx: Ctx<'_>) -> Response {
 fn metrics(app: &App) -> Response {
     let cache = app.cache.stats();
     let corpus_stats = app.corpus.stats();
+    let (wal_records, wal_fsyncs) = app.corpus.wal_counters();
     let extra = format!(
         "cache_hits_total {}\ncache_misses_total {}\ncache_entries {}\n\
-         corpus_docs {}\ncorpus_shards {}\ncorpus_tokens_total {}\ncorpus_tokens_identified {}\n{}",
+         corpus_docs {}\ncorpus_shards {}\ncorpus_tokens_total {}\ncorpus_tokens_identified {}\n\
+         wal_records_total {wal_records}\nwal_fsyncs_total {wal_fsyncs}\n{}",
         cache.hits,
         cache.misses,
         cache.entries,
@@ -427,6 +429,35 @@ mod tests {
         assert!(text.contains("cache_misses_total 1"), "{text}");
         assert!(text.contains("corpus_docs 1"), "{text}");
         assert!(text.contains("queue_depth"), "{text}");
+    }
+
+    #[test]
+    fn metrics_export_the_wal_counters() {
+        let text = String::from_utf8(handle(&app(), &get("/metrics")).body).unwrap();
+        assert!(text.contains("wal_records_total 0\nwal_fsyncs_total 0\n"), "{text}");
+        let dir = std::env::temp_dir().join(format!("webre-handlers-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (store, sharded, _) = crate::persist::CorpusStore::open(&crate::persist::StoreConfig {
+            data_dir: dir.clone(),
+            shards: 1,
+            sync_every: 2,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut app = app();
+        app.corpus = LiveCorpus::durable(sharded, store);
+        for i in 0..5 {
+            let xml = format!("<r><a{i}/></r>");
+            assert_eq!(handle(&app, &post("/corpus/xml", &xml)).status, 202);
+        }
+        // Batches of 2 close twice in 5 appends.
+        assert_eq!(app.corpus.wal_counters(), (5, 2));
+        let text = String::from_utf8(handle(&app, &get("/metrics")).body).unwrap();
+        assert!(text.contains("wal_records_total 5\nwal_fsyncs_total 2\n"), "{text}");
+        // A drain forces the open batch with one more fsync.
+        app.corpus.sync_to_disk().unwrap();
+        assert_eq!(app.corpus.wal_counters(), (5, 3));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

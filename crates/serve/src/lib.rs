@@ -46,9 +46,9 @@
 //!   accepted request is dropped.
 //! * **Durability (opt-in)** — with a data directory configured, every
 //!   accreted document is appended to a per-shard write-ahead log
-//!   (batched fsync) and periodically compacted into snapshots; a
-//!   restart replays the logs into a byte-identical corpus, tolerating
-//!   a torn or corrupted tail from a crash mid-append.
+//!   (batched fsync, run after the corpus lock is released); a restart
+//!   replays the logs into a byte-identical corpus, tolerating a torn
+//!   or corrupted tail from a crash mid-append.
 //! * **Serve ≡ batch** — responses are byte-identical to the batch
 //!   pipeline's output for the same input; the `serve-vs-batch`
 //!   differential oracle in `webre-check` hammers the server with
@@ -61,7 +61,7 @@
 //! | [`engine`] | the pipeline bundle (converter + miner + DTD config) |
 //! | [`cache`] | sharded LRU keyed by content hash |
 //! | [`state`] | live corpus: sharded incremental index + versioned, lazily recomputed schema snapshot |
-//! | [`persist`] | per-shard WAL + snapshot persistence with crash-tolerant replay |
+//! | [`persist`] | per-shard append-only WAL persistence with crash-tolerant replay |
 //! | [`metrics`] | atomic counters and log-scale latency histograms |
 //! | [`obs`] | per-request span recording: stats aggregation + optional trace tee |
 //! | [`router`] | method/path → route resolution |

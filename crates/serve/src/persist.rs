@@ -1,5 +1,5 @@
-//! Durable corpus storage: a per-shard write-ahead log plus compacted
-//! snapshots, built on [`webre_substrate::wal`].
+//! Durable corpus storage: one append-only write-ahead log per shard,
+//! built on [`webre_substrate::wal`].
 //!
 //! # Layout
 //!
@@ -7,47 +7,40 @@
 //!
 //! ```text
 //! <data-dir>/meta.json            shard count + format version
-//! <data-dir>/shard-<i>.snapshot   compacted log: every doc at compaction time
-//! <data-dir>/shard-<i>.wal        tail log: docs accreted since
+//! <data-dir>/shard-<i>.wal        every doc logged to the shard, in accretion order
 //! ```
 //!
-//! Both files use the same framing ([`webre_substrate::wal`] records
-//! whose payloads are canonical [`webre_schema::doc_to_record`] JSON), so
-//! a snapshot is nothing more than a pre-compacted log and replay is one
-//! code path: snapshot records first, then the tail.
+//! Records are [`webre_substrate::wal`] frames whose payloads are
+//! canonical [`webre_schema::doc_to_record`] JSON. The live corpus never
+//! deletes or merges documents, so the log is never rewritten: a
+//! compacted copy would hold the same bytes. Directories written by
+//! older builds may also hold a `shard-<i>.snapshot` in the same framing;
+//! replay applies it before the log, and nothing writes it again.
 //!
 //! # Recovery
 //!
 //! Replay tolerates a crash at any byte: the torn or corrupt suffix of a
-//! tail log is reported as a warning, skipped, and truncated away before
-//! the appender reopens, so the next append never hides fresh records
-//! behind a corrupt region. Every record before the corruption is
-//! replayed — the recovered corpus is exactly the live corpus at the
-//! moment the last intact record was appended.
-//!
-//! # Compaction
-//!
-//! When a shard's tail holds at least as many records as its snapshot
-//! (and at least `compact_min`), the shard is compacted: the full shard
-//! is rewritten atomically as a new snapshot and the tail is truncated.
-//! The threshold doubles with the snapshot, so compaction cost is
-//! amortized O(1) writes per accreted document (geometric policy).
+//! log is reported as a warning, skipped, and truncated away before the
+//! appender reopens, so the next append never hides fresh records behind
+//! a corrupt region. Every record before the corruption is replayed —
+//! the recovered corpus is exactly the live corpus at the moment the
+//! last intact record was appended.
 //!
 //! # Durability policy
 //!
 //! Appends reach the file descriptor immediately; `fsync` is batched
 //! every `sync_every` records per shard ([`webre_substrate::wal::WalWriter`]).
-//! [`CorpusStore::sync_to_disk`] forces the remainder out — the server
-//! calls it on drain.
+//! The append that closes a batch returns a [`SyncHandle`] that the
+//! caller runs before acknowledging, after releasing whatever lock
+//! orders the appends. [`CorpusStore::sync_to_disk`] forces the
+//! remainder out — the server calls it on drain.
 
 use std::fs::OpenOptions;
 use std::io;
 use std::path::{Path, PathBuf};
-use webre_schema::{doc_from_record, doc_to_record, CorpusIndex, ShardedCorpus};
+use webre_schema::{doc_from_record, ShardedCorpus};
 use webre_substrate::json::Json;
-use webre_substrate::wal::{
-    append_record, decode_records, write_file_atomic, WalWriter,
-};
+use webre_substrate::wal::{decode_records, write_file_atomic, SyncHandle, WalWriter};
 
 /// On-disk format version, bumped on incompatible layout changes.
 const FORMAT_VERSION: u64 = 1;
@@ -64,7 +57,8 @@ pub struct StoreConfig {
     pub shards: usize,
     /// Records per fsync batch, per shard (`1` = fsync every append).
     pub sync_every: usize,
-    /// Minimum tail length before a compaction can trigger.
+    /// Has no effect: logs are never compacted. Kept so existing
+    /// configurations still build.
     pub compact_min: usize,
 }
 
@@ -87,32 +81,16 @@ pub struct ReplayReport {
     /// Shard count in effect (from the meta file, or the config for a
     /// fresh directory).
     pub shards: usize,
-    /// Human-readable recovery notes: corrupt tails skipped, undecodable
+    /// Human-readable recovery notes: corrupt logs skipped, undecodable
     /// records dropped, shard-count overrides. Empty on a clean open.
     pub warnings: Vec<String>,
 }
 
-struct ShardLog {
-    wal: WalWriter,
-    /// Records currently in the tail log.
-    tail_records: usize,
-    /// Documents in the snapshot file at its last write.
-    snapshot_docs: usize,
-}
-
-/// The durable half of a sharded live corpus: one WAL + snapshot pair
-/// per shard. All methods take `&mut self`; the serving layer drives it
-/// from inside the corpus write lock so log order matches accretion
-/// order.
+/// The durable half of a sharded live corpus: one WAL per shard. All
+/// methods take `&mut self`; the serving layer appends from inside the
+/// corpus write lock so log order matches accretion order.
 pub struct CorpusStore {
-    dir: PathBuf,
-    sync_every: usize,
-    compact_min: usize,
-    shards: Vec<ShardLog>,
-}
-
-fn snapshot_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.snapshot"))
+    shards: Vec<WalWriter>,
 }
 
 fn wal_path(dir: &Path, shard: usize) -> PathBuf {
@@ -164,8 +142,8 @@ fn resolve_shards(
 }
 
 /// Replays one log file into `corpus` shard `shard`. Returns the number
-/// of records applied and, for tail logs, truncates any corrupt suffix
-/// so the reopened appender continues from the intact prefix.
+/// of records applied and, for the live log, truncates any corrupt
+/// suffix so the reopened appender continues from the intact prefix.
 fn replay_log(
     path: &Path,
     shard: usize,
@@ -215,46 +193,21 @@ impl CorpusStore {
     /// Opens (or initializes) a data directory, replaying its contents.
     /// Returns the store, the recovered corpus, and a replay report.
     pub fn open(config: &StoreConfig) -> io::Result<(CorpusStore, ShardedCorpus, ReplayReport)> {
-        std::fs::create_dir_all(&config.data_dir)?;
+        let dir = &config.data_dir;
+        std::fs::create_dir_all(dir)?;
         let mut report = ReplayReport::default();
-        let shard_count =
-            resolve_shards(&config.data_dir, config.shards, &mut report.warnings)?;
+        let shard_count = resolve_shards(dir, config.shards, &mut report.warnings)?;
         report.shards = shard_count;
         let mut corpus = ShardedCorpus::new(shard_count);
         let mut shards = Vec::with_capacity(shard_count);
         for shard in 0..shard_count {
-            let snapshot_docs = replay_log(
-                &snapshot_path(&config.data_dir, shard),
-                shard,
-                &mut corpus,
-                false,
-                &mut report.warnings,
-            )?;
-            let tail_records = replay_log(
-                &wal_path(&config.data_dir, shard),
-                shard,
-                &mut corpus,
-                true,
-                &mut report.warnings,
-            )?;
-            report.docs += snapshot_docs + tail_records;
-            let wal = WalWriter::open_append(
-                &wal_path(&config.data_dir, shard),
-                config.sync_every,
-            )?;
-            shards.push(ShardLog {
-                wal,
-                tail_records,
-                snapshot_docs,
-            });
+            let legacy_snapshot = dir.join(format!("shard-{shard}.snapshot"));
+            for (path, live) in [(legacy_snapshot, false), (wal_path(dir, shard), true)] {
+                report.docs += replay_log(&path, shard, &mut corpus, live, &mut report.warnings)?;
+            }
+            shards.push(WalWriter::open_append(&wal_path(dir, shard), config.sync_every)?);
         }
-        let store = CorpusStore {
-            dir: config.data_dir.clone(),
-            sync_every: config.sync_every.max(1),
-            compact_min: config.compact_min.max(1),
-            shards,
-        };
-        Ok((store, corpus, report))
+        Ok((CorpusStore { shards }, corpus, report))
     }
 
     /// Shard count this store was opened with.
@@ -262,43 +215,25 @@ impl CorpusStore {
         self.shards.len()
     }
 
-    /// Appends one document record to `shard`'s tail log, compacting the
-    /// shard when the tail has outgrown the snapshot. `index` must be
-    /// the in-memory shard *after* the document was pushed — compaction
-    /// snapshots it verbatim.
-    pub fn log_doc(&mut self, shard: usize, record: &[u8], index: &CorpusIndex) -> io::Result<()> {
-        let log = &mut self.shards[shard];
-        log.wal.write_record(record)?;
-        log.tail_records += 1;
-        if log.tail_records >= self.compact_min.max(log.snapshot_docs) {
-            self.compact(shard, index)?;
-        }
-        Ok(())
+    /// Appends one document record to `shard`'s log. When the append
+    /// closes an fsync batch, returns the handle the caller must run
+    /// before acknowledging the document as durable.
+    pub fn log_doc(&mut self, shard: usize, record: &[u8]) -> io::Result<Option<SyncHandle>> {
+        self.shards[shard].write_record(record)
     }
 
-    /// Rewrites `shard`'s snapshot from the in-memory index and empties
-    /// its tail. The snapshot write is atomic (temp + rename), so a
-    /// crash during compaction leaves the previous snapshot + full tail
-    /// intact.
-    fn compact(&mut self, shard: usize, index: &CorpusIndex) -> io::Result<()> {
-        let mut buf = Vec::new();
-        for doc in index.docs() {
-            append_record(&mut buf, &doc_to_record(doc));
-        }
-        write_file_atomic(&snapshot_path(&self.dir, shard), &buf)?;
-        // Only once the snapshot durably covers every document may the
-        // tail be discarded.
-        let log = &mut self.shards[shard];
-        log.wal = WalWriter::create(&wal_path(&self.dir, shard), self.sync_every)?;
-        log.snapshot_docs = index.len();
-        log.tail_records = 0;
-        Ok(())
+    /// Records appended and fsyncs issued across every shard since the
+    /// store was opened.
+    pub fn wal_counters(&self) -> (u64, u64) {
+        self.shards.iter().fold((0, 0), |(records, fsyncs), wal| {
+            (records + wal.records_appended(), fsyncs + wal.fsyncs())
+        })
     }
 
     /// Forces every shard's batched appends to stable storage.
     pub fn sync_to_disk(&mut self) -> io::Result<()> {
-        for log in &mut self.shards {
-            log.wal.sync()?;
+        for wal in &mut self.shards {
+            wal.sync()?;
         }
         Ok(())
     }
@@ -307,7 +242,8 @@ impl CorpusStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webre_schema::extract_paths;
+    use webre_schema::{doc_to_record, extract_paths};
+    use webre_substrate::wal::append_record;
     use webre_xml::parse_xml;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -319,13 +255,19 @@ mod tests {
         dir
     }
 
-    fn config(dir: &Path, shards: usize, compact_min: usize) -> StoreConfig {
+    fn config(dir: &Path, shards: usize) -> StoreConfig {
         StoreConfig {
             data_dir: dir.to_path_buf(),
             shards,
             sync_every: 2,
-            compact_min,
+            // Older builds compacted a shard from 4 tail records on;
+            // the setting has no effect now.
+            compact_min: 4,
         }
+    }
+
+    fn record(xml: &str) -> Vec<u8> {
+        doc_to_record(&extract_paths(&parse_xml(xml).unwrap()))
     }
 
     fn ingest(store: &mut CorpusStore, corpus: &mut ShardedCorpus, hash: u64, xml: &str) {
@@ -333,15 +275,24 @@ mod tests {
         let record = doc_to_record(&doc);
         let shard = corpus.shard_of(hash);
         corpus.push_to(shard, doc);
-        store
-            .log_doc(shard, &record, &corpus.shards()[shard])
-            .unwrap();
+        if let Some(handle) = store.log_doc(shard, &record).unwrap() {
+            handle.sync().unwrap();
+        }
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
     fn replay_restores_exactly_what_was_logged() {
         let dir = temp_dir("replay");
-        let cfg = config(&dir, 3, 1024);
+        let cfg = config(&dir, 3);
         let (mut store, mut corpus, report) = CorpusStore::open(&cfg).unwrap();
         assert_eq!(report.docs, 0);
         assert!(report.warnings.is_empty());
@@ -363,22 +314,58 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_the_corpus_and_shrinks_the_tail() {
-        let dir = temp_dir("compact");
-        let cfg = config(&dir, 1, 4);
-        let (mut store, mut corpus, _) = CorpusStore::open(&cfg).unwrap();
+    fn a_legacy_snapshot_replays_before_the_log_and_is_never_written() {
+        let dir = temp_dir("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        // The layout older builds left after a compaction: the meta
+        // file, a snapshot holding the first documents and a tail log
+        // holding the rest.
+        std::fs::write(meta_path(&dir), "{\"format\":1,\"shards\":1}\n").unwrap();
+        let xmls = ["<r><a/></r>", "<r><a/><b/></r>", "<r><c/></r>", "<r><a/><c/></r>"];
+        let (mut snapshot, mut tail) = (Vec::new(), Vec::new());
+        for (i, xml) in xmls.iter().enumerate() {
+            append_record(if i < 3 { &mut snapshot } else { &mut tail }, &record(xml));
+        }
+        std::fs::write(dir.join("shard-0.snapshot"), &snapshot).unwrap();
+        std::fs::write(wal_path(&dir, 0), &tail).unwrap();
+        let mut expected = ShardedCorpus::new(1);
+        for xml in xmls {
+            expected.push_to(0, extract_paths(&parse_xml(xml).unwrap()));
+        }
+
+        let (mut store, mut corpus, report) = CorpusStore::open(&config(&dir, 1)).unwrap();
+        assert_eq!(report.docs, 4);
+        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+        assert!(corpus.shards()[0].docs().eq(expected.shards()[0].docs()));
+        for i in 0..6u64 {
+            ingest(&mut store, &mut corpus, i, "<r><d/></r>");
+            expected.push_to(0, extract_paths(&parse_xml("<r><d/></r>").unwrap()));
+        }
+        store.sync_to_disk().unwrap();
+        drop(store);
+        // New appends land only in the log.
+        assert_eq!(std::fs::read(dir.join("shard-0.snapshot")).unwrap(), snapshot);
+        assert!(std::fs::read(wal_path(&dir, 0)).unwrap().starts_with(&tail));
+        let (_, restored, report) = CorpusStore::open(&config(&dir, 1)).unwrap();
+        assert_eq!(report.docs, 10);
+        assert!(restored.shards()[0].docs().eq(expected.shards()[0].docs()));
+        assert_eq!(restored.table(), expected.table());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_fresh_store_writes_only_the_meta_file_and_one_log_per_shard() {
+        let dir = temp_dir("fresh");
+        let (mut store, mut corpus, _) = CorpusStore::open(&config(&dir, 2)).unwrap();
         for i in 0..50u64 {
             ingest(&mut store, &mut corpus, i, "<r><x/><y/></r>");
         }
-        // With compact_min 4 and a geometric policy, the tail must stay
-        // well below the total (compactions clearly happened).
-        assert!(store.shards[0].snapshot_docs >= 4);
-        assert!(store.shards[0].tail_records < 50);
         store.sync_to_disk().unwrap();
+        assert_eq!(store.wal_counters().0, 50);
         drop(store);
-        let (_, restored, report) = CorpusStore::open(&cfg).unwrap();
+        assert_eq!(file_names(&dir), ["meta.json", "shard-0.wal", "shard-1.wal"]);
+        let (_, restored, report) = CorpusStore::open(&config(&dir, 2)).unwrap();
         assert_eq!(report.docs, 50);
-        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
         assert_eq!(restored.table(), corpus.table());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -386,7 +373,7 @@ mod tests {
     #[test]
     fn corrupt_tail_is_skipped_with_a_warning_and_truncated() {
         let dir = temp_dir("corrupt");
-        let cfg = config(&dir, 1, 1024);
+        let cfg = config(&dir, 1);
         let (mut store, mut corpus, _) = CorpusStore::open(&cfg).unwrap();
         for i in 0..5u64 {
             ingest(&mut store, &mut corpus, i, "<r><a/></r>");
@@ -415,14 +402,14 @@ mod tests {
     #[test]
     fn recorded_shard_count_beats_the_config() {
         let dir = temp_dir("meta");
-        let (mut store, mut corpus, _) = CorpusStore::open(&config(&dir, 2, 1024)).unwrap();
+        let (mut store, mut corpus, _) = CorpusStore::open(&config(&dir, 2)).unwrap();
         for i in 0..6u64 {
             ingest(&mut store, &mut corpus, i, "<r><a/></r>");
         }
         store.sync_to_disk().unwrap();
         drop(store);
         // Reopen asking for 5 shards; the directory says 2.
-        let (store, restored, report) = CorpusStore::open(&config(&dir, 5, 1024)).unwrap();
+        let (store, restored, report) = CorpusStore::open(&config(&dir, 5)).unwrap();
         assert_eq!(store.shard_count(), 2);
         assert_eq!(restored.shard_count(), 2);
         assert_eq!(report.docs, 6);

@@ -75,7 +75,7 @@ pub struct ServeConfig {
     /// Admission-control deadline: reject work whose estimated queue
     /// delay exceeds this. `None` disables shedding.
     pub deadline: Option<Duration>,
-    /// Data directory for WAL + snapshot persistence; `None` keeps the
+    /// Data directory for per-shard WAL persistence; `None` keeps the
     /// corpus in memory only.
     pub data_dir: Option<PathBuf>,
     /// Corpus shard count (for a fresh data directory; an existing one
@@ -83,7 +83,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// WAL records per fsync batch, per shard.
     pub sync_every: usize,
-    /// Minimum WAL tail length before shard compaction can trigger.
+    /// Has no effect: WALs are never compacted. Kept so existing
+    /// configurations still build.
     pub compact_min: usize,
     /// `POST /map` reject budget (`--map-budget`); `None` maps
     /// everything regardless of edit cost.
@@ -155,7 +156,7 @@ impl Server {
                     data_dir: dir.clone(),
                     shards: config.shards,
                     sync_every: config.sync_every,
-                    compact_min: config.compact_min,
+                    ..StoreConfig::default()
                 })?;
                 for warning in &report.warnings {
                     eprintln!("warning: {warning}");

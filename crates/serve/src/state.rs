@@ -19,17 +19,22 @@
 //! Durability: with a [`CorpusStore`] attached, every accretion appends
 //! the document's canonical record to its shard's WAL *after* the
 //! in-memory push, inside the same write lock, so log order equals
-//! accretion order. Restarting on the same data directory replays the
-//! logs into an identical corpus (same documents in the same shards),
-//! which makes `GET /schema` and `GET /schema/dtd` byte-identical across
-//! a restart. Conversion statistics are process-local and reset.
+//! accretion order. The accretion that closes an fsync batch runs that
+//! fsync after releasing the lock and before returning, so it is
+//! acknowledged only once every record up to its own is on stable
+//! storage, and no other writer waits on the disk. Restarting on the
+//! same data directory replays the logs into an identical corpus (same
+//! documents in the same shards), which makes `GET /schema` and
+//! `GET /schema/dtd` byte-identical across a restart. Conversion
+//! statistics are process-local and reset.
 //!
 //! Concurrency: one `RwLock` around the whole state. Writers (accrete)
 //! hold it only for the index push and the WAL append — conversion and
-//! record serialization happen *before* the lock, so the critical
-//! section is short and panic-free. Readers share the lock; the first
-//! reader after a write upgrades to recompute, double-checking under the
-//! write lock so racing readers recompute at most once.
+//! record serialization happen *before* the lock, the batch fsync
+//! after it, so the critical section is short and panic-free. Readers
+//! share the lock; the first reader after a write upgrades to
+//! recompute, double-checking under the write lock so racing readers
+//! recompute at most once.
 
 use crate::engine::Engine;
 use crate::persist::CorpusStore;
@@ -74,6 +79,9 @@ struct Inner {
 /// Shared, thread-safe live corpus.
 pub struct LiveCorpus {
     inner: RwLock<Inner>,
+    /// Whether `inner.store` is attached; fixed at construction, so
+    /// writers read it without the lock.
+    durable: bool,
 }
 
 impl Default for LiveCorpus {
@@ -100,6 +108,7 @@ impl LiveCorpus {
 
     fn build(corpus: ShardedCorpus, store: Option<CorpusStore>) -> Self {
         LiveCorpus {
+            durable: store.is_some(),
             inner: RwLock::new(Inner {
                 corpus,
                 store,
@@ -129,28 +138,35 @@ impl LiveCorpus {
         paths: DocPaths,
         stats: &ConvertStats,
     ) -> io::Result<(u64, usize)> {
-        // Serialize outside the lock; the record is only needed when a
-        // store is attached, but accretion is rare enough relative to
-        // serialization cost that unconditional encoding would also be
-        // fine — skip it for the in-memory path anyway.
-        let record = if self.read().store.is_some() {
-            Some(doc_to_record(&paths))
-        } else {
-            None
-        };
+        // Serialize outside the lock, and only when a store is attached.
+        let record = self.durable.then(|| doc_to_record(&paths));
         let mut inner = self.write();
         let shard = inner.corpus.shard_of(hash);
         inner.corpus.push_to(shard, paths);
         inner.stats.merge(stats);
         inner.snapshot = None;
-        let Inner { corpus, store, .. } = &mut *inner;
-        if let (Some(store), Some(record)) = (store.as_mut(), record) {
+        let accreted = (inner.corpus.version(), inner.corpus.len());
+        let batch = match (inner.store.as_mut(), record) {
             // The record is pre-serialized, so only the append itself
             // runs under the lock (see module docs).
             // webre::allow(lock-across-blocking): the WAL append must happen inside the write lock — log order equals accretion order is the recovery invariant
-            store.log_doc(shard, &record, &corpus.shards()[shard])?;
+            (Some(store), Some(record)) => store.log_doc(shard, &record)?,
+            _ => None,
+        };
+        drop(inner);
+        if let Some(batch) = batch {
+            batch.sync()?;
         }
-        Ok((inner.corpus.version(), inner.corpus.len()))
+        Ok(accreted)
+    }
+
+    /// WAL records appended and fsyncs issued since the store was
+    /// opened; zeros for an in-memory corpus.
+    pub fn wal_counters(&self) -> (u64, u64) {
+        self.read()
+            .store
+            .as_ref()
+            .map_or((0, 0), CorpusStore::wal_counters)
     }
 
     /// The current snapshot, recomputing at most once per corpus version.
@@ -395,7 +411,7 @@ mod tests {
             data_dir: PathBuf::from(&dir),
             shards: 2,
             sync_every: 4,
-            compact_min: 8,
+            ..StoreConfig::default()
         };
         let engine = engine();
         let first_snapshot;

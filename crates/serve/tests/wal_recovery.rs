@@ -23,9 +23,9 @@ fn config(dir: &Path) -> StoreConfig {
         data_dir: dir.to_path_buf(),
         shards: 1,
         sync_every: 1,
-        // Never compact: the whole history stays in the tail log, so
-        // prefixes of the file are exactly prefixes of the ingest.
-        compact_min: usize::MAX,
+        // The whole history is in the one log, so prefixes of the file
+        // are exactly prefixes of the ingest.
+        ..StoreConfig::default()
     }
 }
 
@@ -49,7 +49,9 @@ fn build_log(dir: &Path, docs: &[DocPaths]) -> Vec<u8> {
     for doc in docs {
         let record = doc_to_record(doc);
         corpus.push_to(0, doc.clone());
-        store.log_doc(0, &record, &corpus.shards()[0]).unwrap();
+        if let Some(batch) = store.log_doc(0, &record).unwrap() {
+            batch.sync().unwrap();
+        }
     }
     store.sync_to_disk().unwrap();
     std::fs::read(dir.join("shard-0.wal")).unwrap()
@@ -153,7 +155,7 @@ fn appending_after_recovery_continues_from_the_intact_prefix() {
     let extra = extract_paths(&parse_xml("<resume><awards/></resume>").unwrap());
     let record = doc_to_record(&extra);
     corpus.push_to(0, extra.clone());
-    store.log_doc(0, &record, &corpus.shards()[0]).unwrap();
+    store.log_doc(0, &record).unwrap();
     store.sync_to_disk().unwrap();
     drop(store);
     let (_, recovered, report) = CorpusStore::open(&config(&dir)).unwrap();

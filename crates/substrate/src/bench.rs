@@ -324,6 +324,51 @@ fn default_out_path() -> std::path::PathBuf {
     }
 }
 
+/// The `"name"` of a JSON-line record, if it has one.
+fn record_name(line: &str) -> Option<String> {
+    let record = crate::json::Json::parse(line).ok()?;
+    record.get("name")?.as_str().map(str::to_owned)
+}
+
+/// Merges JSON-line `records` into the text of a JSON-lines file: each
+/// existing line whose `"name"` one of `records` carries is replaced in
+/// place by that record (once; later duplicates are dropped), every
+/// other line is kept verbatim, and records with new names are appended.
+pub fn merge_named_records(existing: &str, records: &[String]) -> String {
+    let names: Vec<Option<String>> = records.iter().map(|r| record_name(r)).collect();
+    let mut written = vec![false; records.len()];
+    let mut out = String::with_capacity(existing.len());
+    for line in existing.lines().filter(|l| !l.trim().is_empty()) {
+        let name = record_name(line);
+        match names.iter().position(|n| n.is_some() && *n == name) {
+            None => out.push_str(line),
+            Some(i) if written[i] => continue,
+            Some(i) => {
+                out.push_str(&records[i]);
+                written[i] = true;
+            }
+        }
+        out.push('\n');
+    }
+    for (record, _) in records.iter().zip(&written).filter(|(_, w)| !**w) {
+        out.push_str(record);
+        out.push('\n');
+    }
+    out
+}
+
+/// Writes JSON-line `records` into the file at `path` by name (see
+/// [`merge_named_records`]), creating the file if absent, so a harness
+/// that owns some records of a shared snapshot never drops the rest.
+pub fn write_named_records(path: &std::path::Path, records: &[String]) -> std::io::Result<()> {
+    let existing = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
+    };
+    std::fs::write(path, merge_named_records(&existing, records))
+}
+
 /// A named group of benchmarks sharing throughput/sample settings.
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
@@ -446,6 +491,32 @@ mod tests {
         assert_eq!(parsed.get("bench").and_then(|v| v.as_str()), Some("g/x"));
         assert_eq!(parsed.get("samples").and_then(|v| v.as_f64()), Some(20.0));
         assert!(parsed.get("elem_per_s").is_some());
+    }
+
+    #[test]
+    fn named_records_replace_their_own_lines_and_keep_the_rest() {
+        let existing = "{\"name\":\"serve_healthz\",\"rps\":1}\n\
+                        {\"name\":\"serve_convert_cold\",\"rps\":2}\n\
+                        {\"name\":\"serve_load\",\"p99_us\":3}\n\
+                        {\"name\":\"serve_healthz\",\"rps\":4}\n\
+                        not json\n";
+        let records = [
+            "{\"name\":\"serve_healthz\",\"rps\":10}".to_owned(),
+            "{\"name\":\"serve_convert_cold\",\"rps\":20}".to_owned(),
+            "{\"name\":\"serve_convert_hot\",\"rps\":30}".to_owned(),
+        ];
+        assert_eq!(
+            merge_named_records(existing, &records),
+            "{\"name\":\"serve_healthz\",\"rps\":10}\n\
+             {\"name\":\"serve_convert_cold\",\"rps\":20}\n\
+             {\"name\":\"serve_load\",\"p99_us\":3}\n\
+             not json\n\
+             {\"name\":\"serve_convert_hot\",\"rps\":30}\n"
+        );
+        assert_eq!(
+            merge_named_records("", &records[..1]),
+            "{\"name\":\"serve_healthz\",\"rps\":10}\n"
+        );
     }
 
     #[test]

@@ -26,7 +26,8 @@ WEBRE_BENCH_OUT="$out" cargo bench -p webre-bench "$@"
 echo "==> $(wc -l <"$out") benchmark record(s) in $out"
 
 # Serving throughput: a live webre-serve instance hammered over TCP by
-# concurrent keep-alive clients; writes one JSON record per scenario.
+# concurrent keep-alive clients; replaces its one JSON record per
+# scenario by name and keeps every other record in the file.
 serve_out="${WEBRE_BENCH_SERVE_OUT:-$PWD/BENCH_serve.json}"
 case "$serve_out" in
     /*) ;;
@@ -37,9 +38,8 @@ echo "==> serve benchmark record(s) in $serve_out"
 
 # C10k load soak: `webre load` drives 10k mixed-fault connections (hot,
 # cold, slow-loris, oversized, abrupt disconnects) against a spawned
-# serve instance and APPENDS one serve_load record to the serve snapshot
-# — the serve_throughput step above already truncated it, so the file
-# ends up with exactly one fresh soak per run. The command exits
+# serve instance and replaces the serve_load record of the serve
+# snapshot by name, so the file holds exactly one soak. The command exits
 # non-zero if any liveness postcondition fails (hung worker, unreaped
 # loris, accounting drift), so a broken serve core fails the bench run
 # outright rather than committing a bad-looking number.
@@ -49,7 +49,7 @@ load_conns="${WEBRE_BENCH_LOAD_CONNS:-10000}"
 cargo build --release -q -p webre
 ./target/release/webre load --connections "$load_conns" \
     --loris "$((load_conns / 5))" --duration 5 --bench-out "$serve_out"
-echo "==> load soak record appended to $serve_out"
+echo "==> load soak record written to $serve_out"
 
 # Mapping throughput: the tiered planner over a mixed synthetic corpus
 # at growing sizes, filter on vs off; one JSON record per scale with the
