@@ -266,10 +266,6 @@ mod tests {
         }
     }
 
-    fn record(xml: &str) -> Vec<u8> {
-        doc_to_record(&extract_paths(&parse_xml(xml).unwrap()))
-    }
-
     fn ingest(store: &mut CorpusStore, corpus: &mut ShardedCorpus, hash: u64, xml: &str) {
         let doc = extract_paths(&parse_xml(xml).unwrap());
         let record = doc_to_record(&doc);
@@ -278,15 +274,6 @@ mod tests {
         if let Some(handle) = store.log_doc(shard, &record).unwrap() {
             handle.sync().unwrap();
         }
-    }
-
-    fn file_names(dir: &Path) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        names
     }
 
     #[test]
@@ -323,15 +310,14 @@ mod tests {
         std::fs::write(meta_path(&dir), "{\"format\":1,\"shards\":1}\n").unwrap();
         let xmls = ["<r><a/></r>", "<r><a/><b/></r>", "<r><c/></r>", "<r><a/><c/></r>"];
         let (mut snapshot, mut tail) = (Vec::new(), Vec::new());
+        let mut expected = ShardedCorpus::new(1);
         for (i, xml) in xmls.iter().enumerate() {
-            append_record(if i < 3 { &mut snapshot } else { &mut tail }, &record(xml));
+            let doc = extract_paths(&parse_xml(xml).unwrap());
+            append_record(if i < 3 { &mut snapshot } else { &mut tail }, &doc_to_record(&doc));
+            expected.push_to(0, doc);
         }
         std::fs::write(dir.join("shard-0.snapshot"), &snapshot).unwrap();
         std::fs::write(wal_path(&dir, 0), &tail).unwrap();
-        let mut expected = ShardedCorpus::new(1);
-        for xml in xmls {
-            expected.push_to(0, extract_paths(&parse_xml(xml).unwrap()));
-        }
 
         let (mut store, mut corpus, report) = CorpusStore::open(&config(&dir, 1)).unwrap();
         assert_eq!(report.docs, 4);
@@ -363,7 +349,12 @@ mod tests {
         store.sync_to_disk().unwrap();
         assert_eq!(store.wal_counters().0, 50);
         drop(store);
-        assert_eq!(file_names(&dir), ["meta.json", "shard-0.wal", "shard-1.wal"]);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["meta.json", "shard-0.wal", "shard-1.wal"]);
         let (_, restored, report) = CorpusStore::open(&config(&dir, 2)).unwrap();
         assert_eq!(report.docs, 50);
         assert_eq!(restored.table(), corpus.table());

@@ -330,11 +330,9 @@ fn record_name(line: &str) -> Option<String> {
     record.get("name")?.as_str().map(str::to_owned)
 }
 
-/// Merges JSON-line `records` into the text of a JSON-lines file: each
-/// existing line whose `"name"` one of `records` carries is replaced in
-/// place by that record (once; later duplicates are dropped), every
-/// other line is kept verbatim, and records with new names are appended.
-pub fn merge_named_records(existing: &str, records: &[String]) -> String {
+/// Merges JSON-line `records` into the text of a JSON-lines file (see
+/// [`write_named_records`]).
+fn merge_named_records(existing: &str, records: &[String]) -> String {
     let names: Vec<Option<String>> = records.iter().map(|r| record_name(r)).collect();
     let mut written = vec![false; records.len()];
     let mut out = String::with_capacity(existing.len());
@@ -357,9 +355,12 @@ pub fn merge_named_records(existing: &str, records: &[String]) -> String {
     out
 }
 
-/// Writes JSON-line `records` into the file at `path` by name (see
-/// [`merge_named_records`]), creating the file if absent, so a harness
-/// that owns some records of a shared snapshot never drops the rest.
+/// Writes JSON-line `records` into the file at `path`, creating it if
+/// absent: each existing line whose `"name"` one of `records` carries is
+/// replaced in place by that record (once; later duplicates are
+/// dropped), every other line is kept verbatim, and records with new
+/// names are appended. A harness that owns some records of a shared
+/// snapshot thus never drops the rest.
 pub fn write_named_records(path: &std::path::Path, records: &[String]) -> std::io::Result<()> {
     let existing = match std::fs::read_to_string(path) {
         Ok(text) => text,
